@@ -105,8 +105,8 @@ constexpr int kNr = 16;
 // acc + a*b for the *forward* kernel (gemm_acc) only.  With FMA hardware
 // available the term is fused — one rounding instead of two — applied to
 // every k-term of every output element, so any partition of the work
-// (batched vs single-sample, vector body vs scalar tail) still computes
-// identical bits.  The backward kernels keep the plain two-rounding form.
+// (vector body vs scalar tail) still computes identical bits.  The backward
+// kernels keep the plain two-rounding form.
 inline v8f v8_muladd(v8f acc, v8f s, v8f b) {
 #ifdef MP_NN_HAVE_FMA
   return _mm256_fmadd_ps(s, b, acc);
@@ -404,8 +404,7 @@ void gemm_bt_acc(const float* a, const float* b, float* out, int m, int k,
 
 // --------------------------------------------------------------- im2col ---
 
-void im2col(const float* input, int in_c, int h, int w, int k, float* col,
-            std::size_t col_ld) {
+void im2col(const float* input, int in_c, int h, int w, int k, float* col) {
   const int pad = k / 2;
   const std::size_t hw = static_cast<std::size_t>(h) * w;
   for (int c = 0; c < in_c; ++c) {
@@ -413,7 +412,7 @@ void im2col(const float* input, int in_c, int h, int w, int k, float* col,
     for (int ky = 0; ky < k; ++ky) {
       for (int kx = 0; kx < k; ++kx) {
         const int row = (c * k + ky) * k + kx;
-        float* dst = col + static_cast<std::size_t>(row) * col_ld;
+        float* dst = col + static_cast<std::size_t>(row) * hw;
         for (int y = 0; y < h; ++y) {
           const int sy = y + ky - pad;
           float* drow = dst + static_cast<std::size_t>(y) * w;

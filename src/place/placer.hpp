@@ -37,10 +37,6 @@ struct MctsRlOptions {
     return c;
   }();
   rl::TrainOptions train;
-  /// Search options.  `mcts.infer_engine` may point at a shared
-  /// infer::InferenceEngine (docs/INFERENCE.md) — the service sets it so
-  /// concurrent jobs coalesce their value-network forwards; placements are
-  /// bit-identical with or without it.
   mcts::MctsOptions mcts;
   /// Warm-start the MCTS with the allocation induced by the initial
   /// analytical placement and the best training episode, and bias expansion

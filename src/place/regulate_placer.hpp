@@ -15,8 +15,8 @@
 // ones.  Frozen steps are forced moves, which the search commits directly
 // (mcts::MctsOptions::auto_commit_forced) so the whole exploration budget
 // goes to the groups that may actually move.  Results are deterministic:
-// bit-identical across thread counts, eval_batch settings and infer-engine
-// on/off, same as every other preset.
+// bit-identical across thread counts and eval_batch settings, same as every
+// other preset.
 //
 // This header must stay includable from place/placer.hpp (it defines the
 // PlacerSpec member type), so it must not include placer.hpp itself.

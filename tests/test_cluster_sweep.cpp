@@ -30,12 +30,16 @@ netlist::Design placed_bench(std::uint64_t seed, int macros, int cells,
   return d;
 }
 
+// gtest names each case by dumping this struct's bytes, so it must have no
+// padding: padding bytes are uninitialized and would make the test names
+// change from run to run.  That is why `hierarchy` is an int, not a bool.
 struct SweepCase {
   int grid_dim;
   int macros;
   int cells;
-  bool hierarchy;
+  int hierarchy;  // 0 or 1
 };
+static_assert(sizeof(SweepCase) == 4 * sizeof(int), "SweepCase has padding");
 
 class ClusterSweep : public ::testing::TestWithParam<SweepCase> {};
 
@@ -43,7 +47,7 @@ TEST_P(ClusterSweep, InvariantsHold) {
   const SweepCase c = GetParam();
   netlist::Design d = placed_bench(
       1000 + static_cast<std::uint64_t>(c.grid_dim * 100 + c.macros),
-      c.macros, c.cells, c.hierarchy);
+      c.macros, c.cells, c.hierarchy != 0);
   const grid::GridSpec spec(d.region(), c.grid_dim);
   const Clustering clustering = cluster_design(d, spec);
 
@@ -89,12 +93,12 @@ TEST_P(ClusterSweep, InvariantsHold) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, ClusterSweep,
-    ::testing::Values(SweepCase{4, 8, 150, false},
-                      SweepCase{8, 16, 250, false},
-                      SweepCase{8, 16, 250, true},
-                      SweepCase{16, 30, 400, true},
-                      SweepCase{16, 30, 400, false},
-                      SweepCase{2, 6, 100, false}));
+    ::testing::Values(SweepCase{4, 8, 150, 0},
+                      SweepCase{8, 16, 250, 0},
+                      SweepCase{8, 16, 250, 1},
+                      SweepCase{16, 30, 400, 1},
+                      SweepCase{16, 30, 400, 0},
+                      SweepCase{2, 6, 100, 0}));
 
 }  // namespace
 }  // namespace mp::cluster

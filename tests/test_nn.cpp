@@ -139,6 +139,18 @@ TEST(Conv2d, GradientCheck1x1) {
   check_gradients(conv, random_tensor({4, 3, 3}, 8));
 }
 
+TEST(Conv2d, ReleasesColCacheAfterInferenceForward) {
+  util::Rng rng(4);
+  Conv2d conv(2, 2, 3, rng);
+  const Tensor x({2, 4, 4}, 0.5f);
+
+  conv.forward(x, /*train=*/true);
+  EXPECT_TRUE(conv.holds_col_cache());  // backward needs it
+
+  conv.forward(x, /*train=*/false);
+  EXPECT_FALSE(conv.holds_col_cache());  // inference must not retain it
+}
+
 TEST(BatchNorm2d, NormalizesInTrainMode) {
   BatchNorm2d bn(2);
   const Tensor x = random_tensor({2, 4, 4}, 9);

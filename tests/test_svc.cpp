@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -456,6 +457,19 @@ ServiceOptions quiet_options() {
   ServiceOptions o;
   o.stream_progress = false;  // most tests don't need the global listener
   return o;
+}
+
+TEST(LocalService, RejectsRetiredInferOption) {
+  ServiceOptions options = quiet_options();
+  options.infer = 1;
+  try {
+    LocalService service(options);
+    FAIL() << "ServiceOptions::infer = 1 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("ServiceOptions::infer"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(LocalService, ConcurrentMixedPresetJobsAllComplete) {
