@@ -8,6 +8,7 @@
 // trajectory in results/.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <map>
 #include <string>
@@ -83,9 +84,9 @@ BENCHMARK(BM_QuadraticPlacement)->Arg(1000)->Arg(5000);
 
 // GEMM at the conv-as-GEMM shapes of the agent's 16x16 grid: M = out_c,
 // K = in_c * 3 * 3, N = h * w.  The naive reference kernel vs the blocked /
-// SIMD default (bit-identical outputs; see nn/kernels.hpp) — the artifact
-// ratio real_ns(naive) / real_ns(blocked) is the blocked kernels' speedup
-// (>= 2x single-thread).
+// SIMD gemm_acc (bit-identical on no-FMA builds; see nn/kernels.hpp) — the
+// artifact ratio real_ns(naive) / real_ns(blocked) is the blocked kernel's
+// speedup (>= 2x single-thread).
 std::vector<float> random_floats(std::size_t n, std::uint64_t seed) {
   util::Rng rng(seed);
   std::vector<float> out(n);
@@ -133,6 +134,8 @@ void BM_GemmBlocked(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmBlocked)->Args({32, 288, 256})->Args({128, 1152, 256});
 
+// One 3x3 conv on the agent's 16x16 grid at tower width N.  N = 24 is
+// place::PresetKnobs::channels, the width every served job trains.
 void BM_Conv2dForward(benchmark::State& state) {
   util::Rng rng(5);
   const int channels = static_cast<int>(state.range(0));
@@ -143,7 +146,7 @@ void BM_Conv2dForward(benchmark::State& state) {
     benchmark::DoNotOptimize(conv.forward(x, false));
   }
 }
-BENCHMARK(BM_Conv2dForward)->Arg(32)->Arg(128);
+BENCHMARK(BM_Conv2dForward)->Arg(24)->Arg(32)->Arg(128);
 
 void BM_Conv2dBackward(benchmark::State& state) {
   util::Rng rng(6);
@@ -156,7 +159,7 @@ void BM_Conv2dBackward(benchmark::State& state) {
     benchmark::DoNotOptimize(conv.backward(g));
   }
 }
-BENCHMARK(BM_Conv2dBackward)->Arg(32)->Arg(128);
+BENCHMARK(BM_Conv2dBackward)->Arg(24)->Arg(32)->Arg(128);
 
 void BM_AgentForward(benchmark::State& state) {
   rl::AgentConfig config;
@@ -214,6 +217,9 @@ BENCHMARK(BM_LpLegalizeComponent)->Arg(4)->Arg(10)->Arg(18);
 // the BENCH_micro_kernels.json artifact.
 class ArtifactReporter : public benchmark::ConsoleReporter {
  public:
+  explicit ArtifactReporter(bool color)
+      : ConsoleReporter(color ? OO_ColorTabular : OO_Tabular) {}
+
   void ReportRuns(const std::vector<Run>& reports) override {
     ConsoleReporter::ReportRuns(reports);
     for (const Run& run : reports) {
@@ -229,12 +235,28 @@ class ArtifactReporter : public benchmark::ConsoleReporter {
   std::map<std::string, double> metrics_;
 };
 
+// google-benchmark applies --benchmark_color only to the console reporter
+// it builds itself, so a custom one reads the flag here (before Initialize
+// strips it): auto (the default) colors a terminal only; false, no, off or 0
+// never colors.
+bool console_color(int argc, char** argv) {
+  std::string value = "auto";
+  const std::string flag = "--benchmark_color=";
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind(flag, 0) == 0) value = arg.substr(flag.size());
+  }
+  if (value == "auto") return isatty(STDOUT_FILENO) != 0;
+  return value != "false" && value != "no" && value != "off" && value != "0";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  const bool color = console_color(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ArtifactReporter reporter;
+  ArtifactReporter reporter(color);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   mp::bench::BenchArtifact artifact;

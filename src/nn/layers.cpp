@@ -8,6 +8,9 @@
 // Like kernels.cpp, this file is compiled with -ffp-contract=off (see
 // CMakeLists.txt): it keeps the layer arithmetic identical to the committed
 // golden bits, which compiler contraction of a*b+c into fma would change.
+// Those bits changed once, when Conv2d::backward moved its two products
+// onto gemm_acc (fused multiply-adds and no zero skip on FMA builds, and
+// the weight gradient accumulated term by term into the gradient).
 
 namespace mp::nn {
 
@@ -55,12 +58,15 @@ Tensor Conv2d::forward(const Tensor& input, bool train) {
 Tensor Conv2d::backward(const Tensor& grad_output) {
   const int h = last_h_;
   const int w = last_w_;
+  const int hw = h * w;
   const int pad = k_ / 2;
   const int patch = in_c_ * k_ * k_;
 
-  // grad_weight += grad_out[outC, h*w] * col^T[h*w, patch]
-  gemm_bt_acc(grad_output.data(), col_cache_.data(), weight_.grad.data(),
-              out_c_, h * w, patch);
+  // grad_weight[outC, patch] += grad_out[outC, h*w] * col^T[h*w, patch]
+  Tensor col_t({hw, patch});
+  transpose(col_cache_.data(), patch, hw, col_t.data());
+  gemm_acc(grad_output.data(), col_t.data(), weight_.grad.data(), out_c_, hw,
+           patch);
   // grad_bias
   for (int oc = 0; oc < out_c_; ++oc) {
     const float* plane = grad_output.data() + static_cast<std::size_t>(oc) * h * w;
@@ -69,9 +75,11 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     bias_.grad[static_cast<std::size_t>(oc)] += sum;
   }
   // grad_col[patch, h*w] = weight^T[patch, outC] * grad_out[outC, h*w]
-  Tensor grad_col({patch, h * w});
-  gemm_at_acc(weight_.value.data(), grad_output.data(), grad_col.data(),
-              patch, out_c_, h * w);
+  Tensor weight_t({patch, out_c_});
+  transpose(weight_.value.data(), out_c_, patch, weight_t.data());
+  Tensor grad_col({patch, hw});
+  gemm_acc(weight_t.data(), grad_output.data(), grad_col.data(), patch,
+           out_c_, hw);
   // col2im.
   Tensor grad_input({in_c_, h, w});
   const float* gc = grad_col.data();

@@ -4,15 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "nn/functional.hpp"
+#include "nn/kernels.hpp"
 #include "nn/layers.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/serialize.hpp"
@@ -102,6 +107,142 @@ TEST(Tensor, AddAndScale) {
   a.add(b);
   a.scale(2.0f);
   EXPECT_FLOAT_EQ(a[0], 6.0f);
+}
+
+// ---------------------------------------------------------------- kernels
+
+std::vector<float> random_floats(std::size_t n, std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<float> out(n);
+  for (float& v : out) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  return out;
+}
+
+std::uint32_t bits(float v) {
+  std::uint32_t u;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+struct GemmCase {
+  int m, k, n;
+  std::vector<float> a, b, init;  // a has exact zeros (every third entry)
+};
+
+// Ragged shapes around the 6-row block, the 2-row and 1-row tails, and the
+// 16-column vector body and its scalar column tail.
+std::vector<GemmCase> ragged_gemm_cases() {
+  std::vector<GemmCase> cases;
+  std::uint64_t seed = 100;
+  for (int m : {1, 2, 5, 6, 7, 13}) {
+    for (int n : {1, 15, 16, 17, 33}) {
+      for (int k : {1, 9}) {
+        GemmCase c{m, k, n, {}, {}, {}};
+        c.a = random_floats(static_cast<std::size_t>(m) * k, ++seed);
+        for (std::size_t i = 0; i < c.a.size(); i += 3) c.a[i] = 0.0f;
+        c.b = random_floats(static_cast<std::size_t>(k) * n, ++seed);
+        c.init = random_floats(static_cast<std::size_t>(m) * n, ++seed);
+        cases.push_back(std::move(c));
+      }
+    }
+  }
+  return cases;
+}
+
+std::string shape_name(const GemmCase& c) {
+  return "m=" + std::to_string(c.m) + " k=" + std::to_string(c.k) +
+         " n=" + std::to_string(c.n);
+}
+
+// gemm_acc's per-element op sequence on this build, as a plain loop: a
+// fused multiply-add for every k-term with FMA, the naive kernel without.
+void reference_gemm(const GemmCase& c, float* out) {
+#if defined(__FMA__) && defined(__AVX2__)
+  for (int i = 0; i < c.m; ++i) {
+    for (int j = 0; j < c.n; ++j) {
+      float& o = out[static_cast<std::size_t>(i) * c.n + j];
+      for (int kk = 0; kk < c.k; ++kk) {
+        o = std::fma(c.a[static_cast<std::size_t>(i) * c.k + kk],
+                     c.b[static_cast<std::size_t>(kk) * c.n + j], o);
+      }
+    }
+  }
+#else
+  gemm_acc_naive(c.a.data(), c.b.data(), out, c.m, c.k, c.n);
+#endif
+}
+
+TEST(GemmAcc, MatchesReferenceBitForBit) {
+  for (const GemmCase& c : ragged_gemm_cases()) {
+    std::vector<float> got = c.init, want = c.init;
+    gemm_acc(c.a.data(), c.b.data(), got.data(), c.m, c.k, c.n);
+    reference_gemm(c, want.data());
+    int mismatches = 0;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      mismatches += bits(got[i]) != bits(want[i]);
+    }
+    EXPECT_EQ(mismatches, 0) << shape_name(c);
+  }
+}
+
+// The rows x cols block at (r0, c0) of a row-major matrix with `ld` columns.
+std::vector<float> block(const std::vector<float>& mat, int ld, int r0,
+                         int rows, int c0, int cols) {
+  std::vector<float> out;
+  for (int r = r0; r < r0 + rows; ++r) {
+    const auto row = mat.begin() + static_cast<std::ptrdiff_t>(r) * ld;
+    out.insert(out.end(), row + c0, row + c0 + cols);
+  }
+  return out;
+}
+
+// Every tiling of the output into separate sub-GEMMs (rows of A and columns
+// of B copied out, accumulated onto the same init block) reproduces the
+// full product bit for bit: elements that the full call computes in the
+// 6-row block or the vector body land in row tails and the scalar column
+// tail here.
+TEST(GemmAcc, PartitionInvariantOnRaggedShapes) {
+  for (const GemmCase& c : ragged_gemm_cases()) {
+    std::vector<float> full = c.init;
+    gemm_acc(c.a.data(), c.b.data(), full.data(), c.m, c.k, c.n);
+    for (int tile_m : {1, 2, 5, c.m}) {
+      for (int tile_n : {1, 7, 16, c.n}) {
+        int mismatches = 0;
+        for (int i0 = 0; i0 < c.m; i0 += tile_m) {
+          for (int j0 = 0; j0 < c.n; j0 += tile_n) {
+            const int rows = std::min(tile_m, c.m - i0);
+            const int cols = std::min(tile_n, c.n - j0);
+            const std::vector<float> sa = block(c.a, c.k, i0, rows, 0, c.k);
+            const std::vector<float> sb = block(c.b, c.n, 0, c.k, j0, cols);
+            std::vector<float> got = block(c.init, c.n, i0, rows, j0, cols);
+            gemm_acc(sa.data(), sb.data(), got.data(), rows, c.k, cols);
+            const std::vector<float> want = block(full, c.n, i0, rows, j0, cols);
+            for (std::size_t i = 0; i < got.size(); ++i) {
+              mismatches += bits(got[i]) != bits(want[i]);
+            }
+          }
+        }
+        EXPECT_EQ(mismatches, 0) << shape_name(c) << " tile " << tile_m << "x"
+                                 << tile_n;
+      }
+    }
+  }
+}
+
+TEST(Transpose, RoundTripsAndSwapsIndices) {
+  const int rows = 5, cols = 17;
+  const std::vector<float> x =
+      random_floats(static_cast<std::size_t>(rows) * cols, 7);
+  std::vector<float> t(x.size()), back(x.size());
+  transpose(x.data(), rows, cols, t.data());
+  for (int i = 0; i < rows; ++i) {
+    for (int j = 0; j < cols; ++j) {
+      EXPECT_EQ(t[static_cast<std::size_t>(j) * rows + i],
+                x[static_cast<std::size_t>(i) * cols + j]);
+    }
+  }
+  transpose(t.data(), cols, rows, back.data());
+  EXPECT_EQ(back, x);
 }
 
 TEST(Conv2d, IdentityKernelReproducesInput) {
