@@ -1,5 +1,5 @@
 // Google-benchmark micro kernels for the library's hot paths: HPWL, CG
-// solve, conv2d forward/backward, availability map, sequence-pair
+// solve, conv2d forward/backward, col2im, availability map, sequence-pair
 // legalization LP and one MCTS exploration step.
 //
 // Besides the usual console output, the explicit main() below captures every
@@ -160,6 +160,21 @@ void BM_Conv2dBackward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Conv2dBackward)->Arg(24)->Arg(32)->Arg(128);
+
+// The col2im scatter at the end of Conv2d::backward, on the same shape.
+void BM_Col2im(benchmark::State& state) {
+  const int channels = static_cast<int>(state.range(0));
+  const std::vector<float> col =
+      random_floats(static_cast<std::size_t>(channels) * 9 * 256, 13);
+  std::vector<float> grad_input(static_cast<std::size_t>(channels) * 256);
+  for (auto _ : state) {
+    std::fill(grad_input.begin(), grad_input.end(), 0.0f);
+    nn::col2im(col.data(), channels, 16, 16, 3, grad_input.data());
+    benchmark::DoNotOptimize(grad_input.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Col2im)->Arg(24)->Arg(128);
 
 void BM_AgentForward(benchmark::State& state) {
   rl::AgentConfig config;

@@ -293,4 +293,32 @@ void im2col(const float* input, int in_c, int h, int w, int k, float* col) {
   }
 }
 
+// --------------------------------------------------------------- col2im ---
+
+void col2im(const float* col, int in_c, int h, int w, int k, float* input) {
+  const int pad = k / 2;
+  const std::size_t hw = static_cast<std::size_t>(h) * w;
+  for (int c = 0; c < in_c; ++c) {
+    float* plane = input + static_cast<std::size_t>(c) * hw;
+    for (int ky = 0; ky < k; ++ky) {
+      for (int kx = 0; kx < k; ++kx) {
+        const int row = (c * k + ky) * k + kx;
+        const float* src = col + static_cast<std::size_t>(row) * hw;
+        // The interior span of im2col, run backwards: plane[sy][x + shift]
+        // += src[y][x] for the x whose source column lies inside the plane.
+        const int shift = kx - pad;
+        const int x_lo = std::min(w, std::max(0, -shift));
+        const int x_hi = std::max(x_lo, std::min(w, w - shift));
+        for (int y = 0; y < h; ++y) {
+          const int sy = y + ky - pad;
+          if (sy < 0 || sy >= h) continue;
+          const float* srow = src + static_cast<std::size_t>(y) * w;
+          float* drow = plane + static_cast<std::size_t>(sy) * w;
+          for (int x = x_lo; x < x_hi; ++x) drow[x + shift] += srow[x];
+        }
+      }
+    }
+  }
+}
+
 }  // namespace mp::nn

@@ -1,6 +1,6 @@
 #pragma once
-// Dense float kernels behind the nn/ layers: one GEMM, a transpose and
-// im2col.
+// Dense float kernels behind the nn/ layers: one GEMM, a transpose, im2col
+// and its adjoint col2im.
 //
 // `gemm_acc` is the only GEMM.  Products with a transposed operand (the
 // Conv2d backward pass) transpose that operand once into a local buffer and
@@ -62,5 +62,12 @@ void transpose(const float* in, int rows, int cols, float* out);
 /// "same" zero padding: writes the [C*k*k, H*W] column matrix of `input`
 /// into `col`.
 void im2col(const float* input, int in_c, int h, int w, int k, float* col);
+
+/// The adjoint of im2col: adds every entry of the [C*k*k, H*W] column matrix
+/// `col` into the [C, H, W] sample `input` position it was gathered from
+/// (pad entries are dropped).  Accumulates; callers zero `input` first.
+/// Rows are visited in c -> ky -> kx -> y -> x order, so each input element
+/// receives its adds in the same order as a per-element scatter loop.
+void col2im(const float* col, int in_c, int h, int w, int k, float* input);
 
 }  // namespace mp::nn

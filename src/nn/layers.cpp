@@ -11,6 +11,10 @@
 // Those bits changed once, when Conv2d::backward moved its two products
 // onto gemm_acc (fused multiply-adds and no zero skip on FMA builds, and
 // the weight gradient accumulated term by term into the gradient).
+// Training bits at threads > 1 changed once more in rl/trainer.cpp, not
+// here: each episode's gradient sums from zero on a slot clone before it is
+// added to the live gradient, and BatchNorm2d::apply_logged_stats keeps the
+// running statistics' bits.
 
 namespace mp::nn {
 
@@ -59,7 +63,6 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   const int h = last_h_;
   const int w = last_w_;
   const int hw = h * w;
-  const int pad = k_ / 2;
   const int patch = in_c_ * k_ * k_;
 
   // grad_weight[outC, patch] += grad_out[outC, h*w] * col^T[h*w, patch]
@@ -80,26 +83,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   Tensor grad_col({patch, hw});
   gemm_acc(weight_t.data(), grad_output.data(), grad_col.data(), patch,
            out_c_, hw);
-  // col2im.
   Tensor grad_input({in_c_, h, w});
-  const float* gc = grad_col.data();
-  for (int c = 0; c < in_c_; ++c) {
-    for (int ky = 0; ky < k_; ++ky) {
-      for (int kx = 0; kx < k_; ++kx) {
-        const int row = (c * k_ + ky) * k_ + kx;
-        const float* src = gc + static_cast<std::size_t>(row) * h * w;
-        for (int y = 0; y < h; ++y) {
-          const int sy = y + ky - pad;
-          if (sy < 0 || sy >= h) continue;
-          for (int x = 0; x < w; ++x) {
-            const int sx = x + kx - pad;
-            if (sx < 0 || sx >= w) continue;
-            grad_input.at(c, sy, sx) += src[static_cast<std::size_t>(y) * w + x];
-          }
-        }
-      }
-    }
-  }
+  col2im(grad_col.data(), in_c_, h, w, k_, grad_input.data());
   return grad_input;
 }
 
@@ -154,12 +139,11 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool train) {
         sq += d * d;
       }
       const float var = sq / static_cast<float>(spatial_);
-      running_mean_.value[static_cast<std::size_t>(c)] =
-          (1.0f - momentum_) * running_mean_.value[static_cast<std::size_t>(c)] +
-          momentum_ * mean;
-      running_var_.value[static_cast<std::size_t>(c)] =
-          (1.0f - momentum_) * running_var_.value[static_cast<std::size_t>(c)] +
-          momentum_ * var;
+      update_running_stats(c, mean, var);
+      if (stat_log_ != nullptr) {
+        stat_log_->push_back(mean);
+        stat_log_->push_back(var);
+      }
       const float inv = 1.0f / std::sqrt(var + eps_);
       inv_std_[static_cast<std::size_t>(c)] = inv;
       float* xh = x_hat_.data() + static_cast<std::size_t>(c) * spatial_;
@@ -178,6 +162,24 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool train) {
     }
   }
   return output;
+}
+
+void BatchNorm2d::update_running_stats(int c, float mean, float var) {
+  float& rm = running_mean_.value[static_cast<std::size_t>(c)];
+  float& rv = running_var_.value[static_cast<std::size_t>(c)];
+  rm = (1.0f - momentum_) * rm + momentum_ * mean;
+  rv = (1.0f - momentum_) * rv + momentum_ * var;
+}
+
+void BatchNorm2d::apply_logged_stats(const std::vector<float>& log) {
+  const std::size_t per_forward = 2 * static_cast<std::size_t>(channels_);
+  for (std::size_t base = 0; base + per_forward <= log.size();
+       base += per_forward) {
+    for (int c = 0; c < channels_; ++c) {
+      const std::size_t i = base + 2 * static_cast<std::size_t>(c);
+      update_running_stats(c, log[i], log[i + 1]);
+    }
+  }
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_output) {

@@ -74,7 +74,20 @@ class BatchNorm2d : public Layer {
   Tensor backward(const Tensor& grad_output) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
 
+  /// While `log` is non-null, every train-mode forward appends its batch
+  /// statistics to it: one (mean, var) pair per channel, channel order.
+  /// Train forwards never read the running statistics, so a copy of this
+  /// layer computes the same pairs the original would.
+  void set_stat_log(std::vector<float>* log) { stat_log_ = log; }
+
+  /// Folds logged batch statistics into the running statistics with the
+  /// train forward's own EMA, forward by forward: the result is bit-identical
+  /// to having run those train forwards on this layer.
+  void apply_logged_stats(const std::vector<float>& log);
+
  private:
+  void update_running_stats(int c, float mean, float var);
+
   int channels_;
   float momentum_, eps_;
   Parameter gamma_, beta_;
@@ -86,6 +99,7 @@ class BatchNorm2d : public Layer {
   Tensor x_hat_;
   std::vector<float> inv_std_;
   int spatial_ = 0;
+  std::vector<float>* stat_log_ = nullptr;
 };
 
 class ReLU : public Layer {
@@ -124,6 +138,12 @@ class ResBlock : public Layer {
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
   void collect_parameters(std::vector<Parameter*>& out) override;
+
+  /// The block's BatchNorm layers in forward order.
+  void collect_batch_norms(std::vector<BatchNorm2d*>& out) {
+    out.push_back(&bn1_);
+    out.push_back(&bn2_);
+  }
 
  private:
   Conv2d conv1_, conv2_;

@@ -148,6 +148,14 @@ std::vector<nn::Parameter*> AgentNetwork::parameters() {
   return out;
 }
 
+std::vector<nn::BatchNorm2d*> AgentNetwork::batch_norms() {
+  std::vector<nn::BatchNorm2d*> out{&bn1_};
+  for (auto& block : tower_) block->collect_batch_norms(out);
+  out.push_back(&bn_p_);
+  out.push_back(&bn_v_);
+  return out;
+}
+
 std::unique_ptr<AgentNetwork> AgentNetwork::clone() {
   auto copy = std::make_unique<AgentNetwork>(config_);
   copy->copy_parameters_from(*this);

@@ -53,6 +53,9 @@ class AgentNetwork {
 
   std::vector<nn::Parameter*> parameters();
 
+  /// Every BatchNorm layer, in forward order.
+  std::vector<nn::BatchNorm2d*> batch_norms();
+
   /// Deep copy: a fresh network with identical parameter values.  BN running
   /// statistics are Parameters too, so inference on the clone matches the
   /// original exactly.  Forward caches are not copied — the clone is ready

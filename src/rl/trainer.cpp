@@ -109,6 +109,33 @@ void run_episode(PlacementEnv& env, AllocationEvaluator& evaluator,
   }
 }
 
+// Replays one finished episode (at least one step) with train-mode forwards
+// and accumulates its Actor-Critic gradients (Eqs. 5-7) into `agent`.
+// Returns the mean squared advantage, the value-head loss the update
+// descends.
+double replay_episode(AgentNetwork& agent, const EpisodeData& d, double r,
+                      int total_steps) {
+  const float inv_steps = 1.0f / static_cast<float>(d.steps.size());
+  double value_loss = 0.0;
+  for (std::size_t t = 0; t < d.steps.size(); ++t) {
+    const StepRecord& record = d.steps[t];
+    const AgentOutput out =
+        agent.forward(record.sp, record.availability, static_cast<int>(t),
+                      total_steps, /*train=*/true);
+    const float advantage = static_cast<float>(r) - out.value;
+    if (check::validate_level() >= 1) {
+      MP_CHECK_FINITE(out.value, "value head output during replay");
+      MP_CHECK_FINITE(advantage, "advantage during replay");
+    }
+    value_loss += static_cast<double>(advantage) * advantage;
+    const nn::Tensor policy_grad = nn::policy_gradient(
+        out.probs, record.action, advantage * inv_steps);
+    const float value_grad = -2.0f * advantage * inv_steps;
+    agent.backward(policy_grad, value_grad);
+  }
+  return value_loss / static_cast<double>(d.steps.size());
+}
+
 }  // namespace
 
 TrainResult train_agent(PlacementEnv& env, AllocationEvaluator& evaluator,
@@ -136,17 +163,24 @@ TrainResult train_agent(PlacementEnv& env, AllocationEvaluator& evaluator,
 
   // --- Parallel self-play (docs/PARALLELISM.md) --------------------------
   // Rollouts of one update window run concurrently on slot-private clones
-  // of the frozen policy; gradients are then replayed serially in episode
-  // order, so the parameter trajectory is identical at every pool size > 1.
+  // of the frozen policy.  The gradient replay then runs on the same clones
+  // in waves of one episode per slot: each episode's gradient sums from zero
+  // on its clone and is added to the live gradient in episode order, so the
+  // parameter trajectory is identical at every pool size > 1.
   std::unique_ptr<AllocationEvaluator> probe_evaluator;
   if (options.parallel_rollouts && par::current_threads() > 1) {
     probe_evaluator = evaluator.clone();
+    // A non-clonable evaluator cannot be shared by concurrent rollouts.
+    if (probe_evaluator == nullptr) MP_OBS_COUNT("rl.parallel_fallbacks", 1);
   }
   if (probe_evaluator != nullptr) {
     struct SlotContext {
       std::unique_ptr<AgentNetwork> agent;
       std::unique_ptr<AllocationEvaluator> evaluator;
       std::optional<PlacementEnv> env;
+      std::vector<nn::Parameter*> params;
+      std::vector<std::vector<float>> bn_logs;  ///< one per BN layer
+      double value_loss = 0.0;
     };
     const int nslots =
         std::min(par::current_threads(), std::max(1, options.update_window));
@@ -156,7 +190,15 @@ TrainResult train_agent(PlacementEnv& env, AllocationEvaluator& evaluator,
       slots[s].evaluator =
           (s == 0) ? std::move(probe_evaluator) : evaluator.clone();
       slots[s].env.emplace(env);
+      slots[s].params = slots[s].agent->parameters();
+      const std::vector<nn::BatchNorm2d*> bns = slots[s].agent->batch_norms();
+      slots[s].bn_logs.resize(bns.size());
+      for (std::size_t i = 0; i < bns.size(); ++i) {
+        bns[i]->set_stat_log(&slots[s].bn_logs[i]);
+      }
     }
+    const std::vector<nn::Parameter*> live_params = agent.parameters();
+    const std::vector<nn::BatchNorm2d*> live_bns = agent.batch_norms();
 
     int episode = 0;
     while (episode < options.episodes) {
@@ -197,11 +239,13 @@ TrainResult train_agent(PlacementEnv& env, AllocationEvaluator& evaluator,
         break;
       }
 
-      // Serial accumulation in episode order on the live network.
       MP_OBS_SPAN("rl.update");
+      // Bookkeeping, serially in episode order on the calling thread.
+      std::vector<double> rewards(static_cast<std::size_t>(window), 0.0);
+      std::vector<int> replay;  ///< window offsets of episodes to replay
       for (int k = 0; k < window; ++k) {
         const int e = episode + k;
-        EpisodeData& d = data[static_cast<std::size_t>(k)];
+        const EpisodeData& d = data[static_cast<std::size_t>(k)];
         MP_OBS_COUNT("rl.episodes", 1);
         if (d.aborted) {
           MP_OBS_COUNT("rl.episodes_aborted", 1);
@@ -223,29 +267,37 @@ TrainResult train_agent(PlacementEnv& env, AllocationEvaluator& evaluator,
           result.best_anchors = d.anchors;
         }
         if (options.on_episode) options.on_episode(e, r, d.wirelength);
+        rewards[static_cast<std::size_t>(k)] = r;
+        if (!d.steps.empty()) replay.push_back(k);
+      }
 
-        const float inv_steps = 1.0f / static_cast<float>(
-                                    std::max<std::size_t>(1, d.steps.size()));
-        double value_loss = 0.0;
-        for (std::size_t t = 0; t < d.steps.size(); ++t) {
-          const StepRecord& record = d.steps[t];
-          const AgentOutput out =
-              agent.forward(record.sp, record.availability,
-                            static_cast<int>(t), total_steps, /*train=*/true);
-          const float advantage = static_cast<float>(r) - out.value;
-          if (check::validate_level() >= 1) {
-            MP_CHECK_FINITE(out.value, "value head output during replay");
-            MP_CHECK_FINITE(advantage, "advantage during replay");
+      // Gradient replay in waves of one episode per slot.  A slot's
+      // gradient and BN statistics are a pure function of its episode and
+      // the frozen θ; the fold below adds them to the live network in
+      // episode order, whatever slot or worker computed them.
+      for (std::size_t w0 = 0; w0 < replay.size();
+           w0 += static_cast<std::size_t>(nslots)) {
+        const std::size_t wave = std::min(static_cast<std::size_t>(nslots),
+                                          replay.size() - w0);
+        par::parallel_for(0, wave, 1, [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t s = lo; s < hi; ++s) {
+            SlotContext& ctx = slots[s];
+            for (nn::Parameter* p : ctx.params) p->grad.zero();
+            for (std::vector<float>& log : ctx.bn_logs) log.clear();
+            const auto k = static_cast<std::size_t>(replay[w0 + s]);
+            ctx.value_loss =
+                replay_episode(*ctx.agent, data[k], rewards[k], total_steps);
           }
-          value_loss += static_cast<double>(advantage) * advantage;
-          const nn::Tensor policy_grad = nn::policy_gradient(
-              out.probs, record.action, advantage * inv_steps);
-          const float value_grad = -2.0f * advantage * inv_steps;
-          agent.backward(policy_grad, value_grad);
-        }
-        if (!d.steps.empty()) {
-          MP_OBS_HIST("rl.value_loss",
-                      value_loss / static_cast<double>(d.steps.size()));
+        });
+        for (std::size_t s = 0; s < wave; ++s) {
+          const SlotContext& ctx = slots[s];
+          for (std::size_t i = 0; i < live_params.size(); ++i) {
+            live_params[i]->grad.add(ctx.params[i]->grad);
+          }
+          for (std::size_t i = 0; i < live_bns.size(); ++i) {
+            live_bns[i]->apply_logged_stats(ctx.bn_logs[i]);
+          }
+          MP_OBS_HIST("rl.value_loss", ctx.value_loss);
         }
       }
 

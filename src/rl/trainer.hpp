@@ -29,11 +29,13 @@ struct TrainOptions {
   std::uint64_t seed = 42;
   /// Collect each update window's episodes concurrently on the par:: pool:
   /// every episode rolls out on a frozen clone of θ with its own
-  /// Rng::split stream, then gradients are replayed serially in episode
-  /// order on the live network.  Engaged only when the pool has more than
-  /// one thread and the evaluator is clonable; otherwise (and always at
-  /// --threads 1) the classic serial loop runs, bit-identical to the
-  /// pre-parallel implementation.  Parallel-mode results are deterministic
+  /// Rng::split stream, then is replayed on a slot clone (one episode per
+  /// slot per wave, gradient summed from zero) and its gradient added to
+  /// the live network in episode order.  Engaged only when the pool has
+  /// more than one thread and the evaluator is clonable (a non-clonable one
+  /// counts rl.parallel_fallbacks); otherwise (and always at --threads 1)
+  /// the classic serial loop runs, bit-identical to the pre-parallel
+  /// implementation.  Parallel-mode results are deterministic
   /// — independent of the thread count — but are a different (equally
   /// valid) trajectory than the serial loop: rollouts use per-episode rng
   /// streams and the window's policy snapshot instead of the

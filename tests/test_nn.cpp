@@ -14,6 +14,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nn/functional.hpp"
@@ -245,6 +246,91 @@ TEST(Transpose, RoundTripsAndSwapsIndices) {
   EXPECT_EQ(back, x);
 }
 
+// The per-element col2im scatter Conv2d::backward ran before nn::col2im:
+// c -> ky -> kx -> y -> x, two bounds tests per element.
+void reference_col2im(const std::vector<float>& col, int in_c, int h, int w,
+                      int k, std::vector<float>& input) {
+  const int pad = k / 2;
+  for (int c = 0; c < in_c; ++c) {
+    for (int ky = 0; ky < k; ++ky) {
+      for (int kx = 0; kx < k; ++kx) {
+        const int row = (c * k + ky) * k + kx;
+        for (int y = 0; y < h; ++y) {
+          const int sy = y + ky - pad;
+          if (sy < 0 || sy >= h) continue;
+          for (int x = 0; x < w; ++x) {
+            const int sx = x + kx - pad;
+            if (sx < 0 || sx >= w) continue;
+            input[(static_cast<std::size_t>(c) * h + sy) * w + sx] +=
+                col[(static_cast<std::size_t>(row) * h + y) * w + x];
+          }
+        }
+      }
+    }
+  }
+}
+
+struct Col2imCase {
+  int c, h, w, k;
+};
+
+std::vector<Col2imCase> ragged_col2im_cases() {
+  std::vector<Col2imCase> cases;
+  for (int k : {1, 3}) {
+    for (const auto& [h, w] : {std::pair{1, 1}, std::pair{2, 5},
+                               std::pair{5, 2}, std::pair{4, 7},
+                               std::pair{16, 16}}) {
+      cases.push_back({3, h, w, k});
+    }
+  }
+  return cases;
+}
+
+TEST(Col2im, MatchesPerElementScatterBitForBit) {
+  std::uint64_t seed = 300;
+  for (const Col2imCase& t : ragged_col2im_cases()) {
+    const std::size_t hw = static_cast<std::size_t>(t.h) * t.w;
+    const std::vector<float> col = random_floats(
+        static_cast<std::size_t>(t.c) * t.k * t.k * hw, ++seed);
+    // Non-zero start: col2im accumulates onto what is already there.
+    const std::vector<float> init =
+        random_floats(static_cast<std::size_t>(t.c) * hw, ++seed);
+    std::vector<float> got = init, want = init;
+    col2im(col.data(), t.c, t.h, t.w, t.k, got.data());
+    reference_col2im(col, t.c, t.h, t.w, t.k, want);
+    int mismatches = 0;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      mismatches += bits(got[i]) != bits(want[i]);
+    }
+    EXPECT_EQ(mismatches, 0) << "c=" << t.c << " h=" << t.h << " w=" << t.w
+                             << " k=" << t.k;
+  }
+}
+
+TEST(Col2im, IsTheAdjointOfIm2col) {
+  // <im2col(x), y> == <x, col2im(y)>, both sides summed in double.
+  std::uint64_t seed = 400;
+  for (const Col2imCase& t : ragged_col2im_cases()) {
+    const std::size_t hw = static_cast<std::size_t>(t.h) * t.w;
+    const std::size_t ncol = static_cast<std::size_t>(t.c) * t.k * t.k * hw;
+    const std::vector<float> x =
+        random_floats(static_cast<std::size_t>(t.c) * hw, ++seed);
+    const std::vector<float> y = random_floats(ncol, ++seed);
+    std::vector<float> col_x(ncol), xt(x.size(), 0.0f);
+    im2col(x.data(), t.c, t.h, t.w, t.k, col_x.data());
+    col2im(y.data(), t.c, t.h, t.w, t.k, xt.data());
+    double lhs = 0.0, rhs = 0.0;
+    for (std::size_t i = 0; i < ncol; ++i) {
+      lhs += static_cast<double>(col_x[i]) * y[i];
+    }
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      rhs += static_cast<double>(x[i]) * xt[i];
+    }
+    EXPECT_NEAR(lhs, rhs, 1e-4 * std::max(1.0, std::abs(lhs)))
+        << "c=" << t.c << " h=" << t.h << " w=" << t.w << " k=" << t.k;
+  }
+}
+
 TEST(Conv2d, IdentityKernelReproducesInput) {
   util::Rng rng(1);
   Conv2d conv(1, 1, 3, rng);
@@ -329,6 +415,40 @@ TEST(BatchNorm2d, EvalModeUsesRunningStats) {
   for (std::size_t k = 0; k < y.size(); ++k) mean += y[k];
   mean /= static_cast<double>(y.size());
   EXPECT_NEAR(mean, 0.0, 0.5);
+}
+
+TEST(BatchNorm2d, AppliedStatLogMatchesTrainForwardsBitForBit) {
+  // Running statistics that are not the constructor defaults, so the EMA
+  // starts from arbitrary bits.
+  BatchNorm2d direct(3);
+  for (int i = 0; i < 3; ++i) {
+    direct.forward(random_tensor({3, 5, 4}, 40 + static_cast<std::uint64_t>(i)),
+                   true);
+  }
+  BatchNorm2d replayed = direct;
+  BatchNorm2d recorder = direct;
+  std::vector<float> log;
+  recorder.set_stat_log(&log);
+  for (int i = 0; i < 6; ++i) {
+    const Tensor x = random_tensor({3, 5, 4}, 50 + static_cast<std::uint64_t>(i));
+    direct.forward(x, true);
+    recorder.forward(x, true);
+    recorder.forward(x, false);  // inference forwards log nothing
+  }
+  recorder.set_stat_log(nullptr);
+  EXPECT_EQ(log.size(), 6u * 3u * 2u);
+  replayed.apply_logged_stats(log);
+
+  std::vector<Parameter*> want, got;
+  direct.collect_parameters(want);
+  replayed.collect_parameters(got);
+  ASSERT_EQ(want.size(), 4u);  // gamma, beta, running mean, running var
+  for (std::size_t p = 2; p < want.size(); ++p) {
+    for (std::size_t i = 0; i < want[p]->value.size(); ++i) {
+      EXPECT_EQ(bits(got[p]->value[i]), bits(want[p]->value[i]))
+          << "parameter " << p << " channel " << i;
+    }
+  }
 }
 
 TEST(BatchNorm2d, GradientCheck) {

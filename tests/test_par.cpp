@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -391,29 +392,86 @@ TEST(ParMcts, BatchedSearchProducesCompleteAllocation) {
 // RL self-play: parallel windows deterministic across pool sizes
 // ---------------------------------------------------------------------------
 
-rl::TrainResult train_once(McstFixture& f, int threads) {
+rl::TrainResult train_once(McstFixture& f, int threads,
+                           rl::AllocationEvaluator* evaluator = nullptr) {
   ThreadGuard guard(threads);
   rl::TrainOptions options;
   options.episodes = 8;
   options.update_window = 4;
   options.calibration_episodes = 5;
   options.parallel_rollouts = true;
-  return rl::train_agent(*f.env, *f.evaluator, *f.agent, options);
+  return rl::train_agent(*f.env, evaluator ? *evaluator : *f.evaluator,
+                         *f.agent, options);
+}
+
+std::uint32_t float_bits(float v) {
+  std::uint32_t u;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
 }
 
 TEST(ParTrainer, ParallelSelfPlayIdenticalAcrossThreadCounts) {
+  // 2 threads: two even replay waves per window; 3: a ragged last wave
+  // (3 + 1 of the 4 episodes); 8: one wave of 4 with idle workers.  The
+  // trained parameters — BN running statistics included — must match bit
+  // for bit, not just the episode records.
   McstFixture f2(86);
-  McstFixture f8(86);
   const rl::TrainResult r2 = train_once(f2, 2);
-  const rl::TrainResult r8 = train_once(f8, 8);
-  ASSERT_EQ(r2.episodes.size(), r8.episodes.size());
-  for (std::size_t i = 0; i < r2.episodes.size(); ++i) {
-    EXPECT_EQ(r2.episodes[i].wirelength, r8.episodes[i].wirelength)
-        << "episode " << i;
-    EXPECT_EQ(r2.episodes[i].reward, r8.episodes[i].reward) << "episode " << i;
+  const std::vector<nn::Parameter*> p2 = f2.agent->parameters();
+  ASSERT_GT(r2.optimizer_steps, 0);
+  for (int threads : {3, 8}) {
+    McstFixture f(86);
+    const rl::TrainResult r = train_once(f, threads);
+    ASSERT_EQ(r2.episodes.size(), r.episodes.size()) << threads << " threads";
+    for (std::size_t i = 0; i < r2.episodes.size(); ++i) {
+      EXPECT_EQ(r2.episodes[i].wirelength, r.episodes[i].wirelength)
+          << "episode " << i << ", " << threads << " threads";
+      EXPECT_EQ(r2.episodes[i].reward, r.episodes[i].reward)
+          << "episode " << i << ", " << threads << " threads";
+    }
+    EXPECT_EQ(r2.best_wirelength, r.best_wirelength) << threads << " threads";
+    EXPECT_EQ(r2.optimizer_steps, r.optimizer_steps) << threads << " threads";
+
+    const std::vector<nn::Parameter*> p = f.agent->parameters();
+    ASSERT_EQ(p2.size(), p.size());
+    int mismatches = 0;
+    for (std::size_t k = 0; k < p.size(); ++k) {
+      ASSERT_EQ(p2[k]->value.size(), p[k]->value.size());
+      for (std::size_t i = 0; i < p[k]->value.size(); ++i) {
+        mismatches += float_bits(p2[k]->value[i]) != float_bits(p[k]->value[i]);
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << threads << " threads";
   }
-  EXPECT_EQ(r2.best_wirelength, r8.best_wirelength);
-  EXPECT_EQ(r2.optimizer_steps, r8.optimizer_steps);
+}
+
+// An evaluator that cannot be cloned (the AllocationEvaluator default).
+class UnclonableEvaluator : public rl::AllocationEvaluator {
+ public:
+  explicit UnclonableEvaluator(rl::AllocationEvaluator& inner) : inner_(inner) {}
+  double evaluate(const std::vector<grid::CellCoord>& anchors) override {
+    return inner_.evaluate(anchors);
+  }
+
+ private:
+  rl::AllocationEvaluator& inner_;
+};
+
+TEST(ParTrainer, UnclonableEvaluatorFallbackIsCounted) {
+  // parallel_rollouts on a 2-thread pool, but no evaluator clone for the
+  // slots: training runs the serial loop, and says so in a counter.
+  McstFixture f(88);
+  UnclonableEvaluator evaluator(*f.evaluator);
+  obs::Counter& fallbacks =
+      obs::Registry::global().counter("rl.parallel_fallbacks");
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  const long long before = fallbacks.value();
+  const rl::TrainResult r = train_once(f, 2, &evaluator);
+  EXPECT_EQ(fallbacks.value() - before, 1);
+  obs::set_enabled(was_enabled);
+  EXPECT_FALSE(r.episodes.empty());
+  EXPECT_GT(r.optimizer_steps, 0);
 }
 
 TEST(ParTrainer, SerialFallbackAtOneThread) {

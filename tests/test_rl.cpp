@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "benchgen/generator.hpp"
 #include "cluster/clustering.hpp"
@@ -231,6 +233,51 @@ TEST(Agent, BackwardChangesParametersViaOptimizer) {
   optimizer.step();
   const float after = agent.parameters()[0]->value[0];
   EXPECT_NE(before, after);
+}
+
+TEST(Agent, BatchNormStatLogsReplayOntoAnotherCopyBitForBit) {
+  // The parallel trainer's BN fold: a clone logs the batch statistics of
+  // its train forwards, and the live network applies them layer by layer
+  // from batch_norms().  Every parameter — the running statistics included —
+  // must match a copy that ran the same train forwards itself.
+  AgentConfig config;
+  config.grid_dim = 4;
+  config.channels = 8;
+  config.res_blocks = 2;
+  config.seed = 9;
+  AgentNetwork direct(config);
+  AgentNetwork live(config);
+  const std::unique_ptr<AgentNetwork> clone = live.clone();
+  const std::vector<nn::BatchNorm2d*> clone_bns = clone->batch_norms();
+  ASSERT_EQ(clone_bns.size(), 1u + 2u * 2u + 2u);  // trunk, 2 per block, heads
+  std::vector<std::vector<float>> logs(clone_bns.size());
+  for (std::size_t i = 0; i < clone_bns.size(); ++i) {
+    clone_bns[i]->set_stat_log(&logs[i]);
+  }
+  util::Rng rng(17);
+  const std::vector<double> availability(16, 1.0);
+  for (int t = 0; t < 5; ++t) {
+    std::vector<double> sp(16);
+    for (double& v : sp) v = rng.uniform(0.0, 1.0);
+    direct.forward(sp, availability, t, 5, /*train=*/true);
+    clone->forward(sp, availability, t, 5, /*train=*/true);
+  }
+  const std::vector<nn::BatchNorm2d*> live_bns = live.batch_norms();
+  for (std::size_t i = 0; i < live_bns.size(); ++i) {
+    live_bns[i]->apply_logged_stats(logs[i]);
+  }
+  const std::vector<nn::Parameter*> want = direct.parameters();
+  const std::vector<nn::Parameter*> got = live.parameters();
+  ASSERT_EQ(want.size(), got.size());
+  int mismatches = 0;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    for (std::size_t i = 0; i < want[k]->value.size(); ++i) {
+      mismatches += want[k]->value[i] != got[k]->value[i] ||
+                    std::signbit(want[k]->value[i]) !=
+                        std::signbit(got[k]->value[i]);
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(Agent, ParameterCountReasonable) {
